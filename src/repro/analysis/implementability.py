@@ -95,6 +95,11 @@ class ImplementabilityReport:
     csc_conflicts: List[CSCConflict] = field(default_factory=list)
     persistency_violations: List[PersistencyViolation] = field(
         default_factory=list)
+    #: the state graph the checks ran on (None when it could not be
+    #: built), kept so callers can answer further questions without
+    #: exploring the net again
+    state_graph: Optional[StateGraph] = field(default=None, repr=False,
+                                              compare=False)
 
     @property
     def has_usc(self) -> bool:
@@ -273,6 +278,7 @@ def check_implementability(stg: STG,
             return report
         report.bounded = True
         report.consistent = True
+        report.state_graph = sg
         report.states = len(sg)
         report.usc_conflicts = usc_conflicts(sg)
         report.csc_conflicts = csc_conflicts(sg)

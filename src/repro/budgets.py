@@ -11,7 +11,10 @@ numbers drifted independently.  They now all derive from
 
 * :data:`DEFAULT_STATE_BOUND` — full reachability-graph construction
   and whole-net property checks (``build_reachability_graph``,
-  ``explore``, ``check_implementability``);
+  ``check_implementability``, and the one graph behind every check of
+  :mod:`repro.petri.properties` — ``reachability_graph`` / ``explore``,
+  whose Karp–Miller unboundedness test counts its nodes against the
+  same budget);
 * :data:`REDUCTION_STATE_BOUND` — the behavioural implicit-place test
   of :mod:`repro.petri.reductions`, which re-explores after every
   removal and therefore budgets one tenth of the default per pass;

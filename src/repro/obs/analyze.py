@@ -152,18 +152,25 @@ def _deeper(parent: SpanNode, node: SpanNode) -> bool:
     return True
 
 
+def _depth(node: SpanNode) -> int:
+    """The record's lexical depth (0 when it has none)."""
+    depth = node.record.get("depth")
+    return depth if isinstance(depth, int) else 0
+
+
 def build_tree(records: Sequence[Record]) -> List[SpanNode]:
     """Reconstruct the span forest of a trace by interval containment.
 
-    Records are ordered by start time (ties: longer span first, so a
-    parent precedes the children sharing its start instant) and each is
-    attached to the innermost already-placed span whose interval
+    Records are ordered by start time (ties: longer span first, then
+    shallower recorded depth, so a parent precedes the children sharing
+    its start instant — and its duration — whatever their ``seq``) and
+    each is attached to the innermost already-placed span whose interval
     contains it *and* whose recorded depth is strictly smaller
     (:func:`_deeper` — racing siblings in a merged trace may overlap in
     time but never in depth).  Returns the root nodes in start order.
     """
     ordered = sorted((SpanNode(r) for r in records),
-                     key=lambda n: (n.start_s, -n.duration_s,
+                     key=lambda n: (n.start_s, -n.duration_s, _depth(n),
                                     n.record.get("seq", 0)))
     roots: List[SpanNode] = []
     placed: List[SpanNode] = []

@@ -24,6 +24,7 @@ from .properties import (
     is_live,
     is_reversible,
     is_safe,
+    reachability_graph,
     reachable_markings,
     unsafe_witness,
 )
@@ -67,7 +68,7 @@ __all__ = [
     "fire_sequence", "is_enabled", "language_prefixes", "random_walk",
     "bound", "explore", "find_deadlocks", "home_markings", "is_bounded",
     "is_deadlock_free", "is_live", "is_reversible", "is_safe",
-    "reachable_markings", "unsafe_witness",
+    "reachability_graph", "reachable_markings", "unsafe_witness",
     "DenseEncoding", "SMComponent", "choice_places", "incidence_matrix",
     "invariant_overapproximation", "invariant_value", "is_free_choice",
     "is_marked_graph", "is_state_machine", "merge_places", "p_invariants",

@@ -1,10 +1,11 @@
 """Karp–Miller coverability analysis.
 
 The paper's implementability checklist starts with "boundedness of the PN
-to guarantee that the specified state space is finite" (Section 2.1).  For
-bounded nets the explicit exploration of :mod:`repro.petri.properties`
-decides this; the Karp–Miller coverability graph decides it for *arbitrary*
-nets by accelerating strictly-growing loops to the symbolic token count ω.
+to guarantee that the specified state space is finite" (Section 2.1).  The
+Karp–Miller coverability graph decides this for *arbitrary* nets by
+accelerating strictly-growing loops to the symbolic token count ω;
+:mod:`repro.petri.properties` asks it whenever the 1-safe reachability
+build of a net fails.
 
 The construction: explore markings over ``N ∪ {ω}``; whenever a new node
 strictly covers one of its ancestors, every strictly larger component is

@@ -9,76 +9,86 @@ underlying net (independent of the signal interpretation):
 * **liveness** (every transition can always eventually fire again) and
   *home markings*.
 
-Exploration is explicit with a configurable state bound; unboundedness is
-detected either by exceeding the bound with a witness (coverability) or by
-the Karp–Miller style covering test during exploration.
+Every check reads one reachability graph (:func:`reachability_graph`),
+built by the shared engines of :mod:`repro.ts.builder` under a
+configurable state bound.  Unboundedness is decided by the Karp–Miller
+construction of :mod:`repro.petri.coverability`, and only for nets
+whose 1-safe build fails.  Liveness and home markings also accept a
+graph the caller has already built (``graph=``), so a check that holds
+one — the CSC search builds a state graph per candidate — explores
+nothing twice.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..budgets import DEFAULT_STATE_BOUND
-from ..errors import ModelError, StateExplosionError
+from ..errors import ModelError, UnboundedError
+from .coverability import build_coverability_graph
 from .marking import Marking
 from .net import PetriNet
-from .token_game import enabled_transitions, fire
+from .token_game import enabled_transitions
+
+if TYPE_CHECKING:  # the ts package imports this one
+    from ..ts.transition_system import TransitionSystem
+
+
+def reachability_graph(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND,
+                       detect_unbounded: bool = True) -> TransitionSystem:
+    """The reachability graph every property of this module is read from.
+
+    The 1-safe build of :func:`~repro.ts.builder.build_reachability_graph`
+    (compiled engine where the net supports it) runs first.  Only if it
+    hits a 1-safeness violation does the Karp–Miller construction decide
+    boundedness (skipped when ``detect_unbounded`` is false): an
+    unbounded net raises :class:`~repro.errors.UnboundedError` naming the
+    places that grow without bound, a bounded one is built by the naive
+    k-bounded engine.
+
+    Raises :class:`~repro.errors.StateExplosionError` when ``max_states``
+    is exceeded; the Karp–Miller graph counts against the same budget.
+    """
+    from ..ts.builder import build_reachability_graph
+
+    try:
+        return build_reachability_graph(net, max_states)
+    except UnboundedError:
+        pass  # not 1-safe, but possibly k-bounded
+    if detect_unbounded:
+        cover = build_coverability_graph(net, max_nodes=max_states)
+        if not cover.is_bounded():
+            raise UnboundedError(
+                "net is unbounded: places %s grow without bound"
+                % cover.unbounded_places())
+    return build_reachability_graph(net, max_states, require_safe=False,
+                                    engine="naive")
 
 
 def explore(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND,
             detect_unbounded: bool = True) -> Dict[Marking, List[Tuple[str, Marking]]]:
     """Explicit reachability exploration.
 
-    Returns an adjacency map ``marking -> [(transition, successor)]`` for all
-    reachable markings.  If ``detect_unbounded`` is set, the Karp–Miller
-    covering test is applied along each exploration path: reaching a marking
-    that strictly covers an ancestor proves unboundedness and raises
-    :class:`~repro.errors.UnboundedError` naming the offending pair.
-
-    Raises :class:`StateExplosionError` when ``max_states`` is exceeded.
+    Returns an adjacency map ``marking -> [(transition, successor)]`` for
+    all reachable markings (breadth-first discovery order, transitions
+    in name order) of :func:`reachability_graph`, whose
+    :class:`~repro.errors.UnboundedError` and
+    :class:`~repro.errors.StateExplosionError` it raises.
     """
-    from ..errors import UnboundedError
-
-    initial = net.initial_marking
-    graph: Dict[Marking, List[Tuple[str, Marking]]] = {initial: []}
-    # stack entries: (marking, ancestor chain as tuple) for covering test
-    stack: List[Tuple[Marking, Tuple[Marking, ...]]] = [(initial, (initial,))]
-    while stack:
-        marking, ancestors = stack.pop()
-        successors = graph[marking]
-        for t in enabled_transitions(net, marking):
-            succ = fire(net, marking, t, check=False)
-            successors.append((t, succ))
-            if succ not in graph:
-                if detect_unbounded:
-                    for anc in ancestors:
-                        if succ.covers(anc) and succ != anc:
-                            raise UnboundedError(
-                                "net is unbounded: %r strictly covers ancestor %r"
-                                % (succ, anc)
-                            )
-                if len(graph) >= max_states:
-                    raise StateExplosionError(
-                        "reachability exceeded %d states" % max_states,
-                        bound=max_states, states=len(graph)
-                    )
-                graph[succ] = []
-                stack.append((succ, ancestors + (succ,)))
-    return graph
+    graph = reachability_graph(net, max_states, detect_unbounded)
+    return {m: graph.successors(m) for m in graph.states}
 
 
 def reachable_markings(net: PetriNet,
                        max_states: int = DEFAULT_STATE_BOUND) -> Set[Marking]:
     """The set of reachable markings (explicit)."""
-    return set(explore(net, max_states))
+    return set(reachability_graph(net, max_states).states)
 
 
 def is_bounded(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND) -> bool:
     """True iff the reachability set is finite."""
-    from ..errors import UnboundedError
-
     try:
-        explore(net, max_states)
+        reachability_graph(net, max_states)
         return True
     except UnboundedError:
         return False
@@ -87,19 +97,12 @@ def is_bounded(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND) -> bool:
 def bound(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND) -> int:
     """The bound of the net: max token count of any place in any reachable
     marking.  Raises ``UnboundedError`` for unbounded nets."""
-    markings = explore(net, max_states)
-    best = 0
-    for m in markings:
-        for _, n in m.items():
-            if n > best:
-                best = n
-    return best
+    markings = reachability_graph(net, max_states).states
+    return max((n for m in markings for _, n in m.items()), default=0)
 
 
 def is_safe(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND) -> bool:
     """True iff the net is 1-bounded (safe)."""
-    from ..errors import UnboundedError
-
     try:
         return bound(net, max_states) <= 1
     except UnboundedError:
@@ -109,7 +112,7 @@ def is_safe(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND) -> bool:
 def unsafe_witness(net: PetriNet,
                    max_states: int = DEFAULT_STATE_BOUND) -> Optional[Marking]:
     """A reachable marking with a place holding >1 token, or None."""
-    for m in explore(net, max_states):
+    for m in reachability_graph(net, max_states).states:
         if not m.is_safe():
             return m
     return None
@@ -146,8 +149,8 @@ def find_deadlocks(net: PetriNet,
         raise ModelError("unknown engine %r (expected 'explicit' or 'bdd')"
                          % engine)
     if markings is None:
-        graph = explore(net, max_states)
-        dead = (m for m, succs in graph.items() if not succs)
+        graph = reachability_graph(net, max_states)
+        dead = (m for m in graph.states if not graph.successors(m))
     else:
         dead = (m for m in markings if not enabled_transitions(net, m))
     return sorted(dead, key=lambda m: repr(m))
@@ -159,103 +162,40 @@ def is_deadlock_free(net: PetriNet,
     return not find_deadlocks(net, max_states)
 
 
-def _strongly_connected_bottom(graph: Dict[Marking, List[Tuple[str, Marking]]]):
-    """Tarjan SCC; returns (scc_index per marking, list of sccs, bottom flags)."""
-    index: Dict[Marking, int] = {}
-    low: Dict[Marking, int] = {}
-    on_stack: Set[Marking] = set()
-    stack: List[Marking] = []
-    sccs: List[List[Marking]] = []
-    scc_of: Dict[Marking, int] = {}
-    counter = [0]
-
-    def strongconnect(root: Marking) -> None:
-        # iterative Tarjan to avoid recursion limits on big graphs
-        work = [(root, iter(graph[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for _, w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(graph[w])))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    scc_of[w] = len(sccs)
-                    if w == v:
-                        break
-                sccs.append(component)
-
-    for m in graph:
-        if m not in index:
-            strongconnect(m)
-
-    bottom = [True] * len(sccs)
-    for m, succs in graph.items():
-        for _, w in succs:
-            if scc_of[w] != scc_of[m]:
-                bottom[scc_of[m]] = False
-    return scc_of, sccs, bottom
-
-
-def is_live(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND) -> bool:
+def is_live(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND,
+            graph: Optional[TransitionSystem] = None) -> bool:
     """L4-liveness: from every reachable marking, every transition can
     eventually fire.
 
-    Checked on the reachability graph: every bottom strongly connected
-    component must contain an occurrence of every transition.
+    Checked on the reachability graph — ``graph`` if the caller already
+    built it, else :func:`reachability_graph` — every bottom strongly
+    connected component must contain an occurrence of every transition
+    of ``net``, including those that never fire and so label no arc.
     """
-    graph = explore(net, max_states)
-    scc_of, sccs, bottom = _strongly_connected_bottom(graph)
-    all_transitions = set(net.transitions)
-    for idx, component in enumerate(sccs):
-        if not bottom[idx]:
-            continue
-        fired = set()
-        for m in component:
-            for t, succ in graph[m]:
-                if scc_of[succ] == idx:
-                    fired.add(t)
-        if fired != all_transitions:
+    if graph is None:
+        graph = reachability_graph(net, max_states)
+    transitions = set(net.transitions)
+    for component in graph.bottom_sccs():
+        fired = {t for m in component for t, _ in graph.successors(m)}
+        if fired != transitions:
             return False
     return True
 
 
 def home_markings(net: PetriNet,
-                  max_states: int = DEFAULT_STATE_BOUND) -> Set[Marking]:
+                  max_states: int = DEFAULT_STATE_BOUND,
+                  graph: Optional[TransitionSystem] = None) -> Set[Marking]:
     """Markings reachable from every reachable marking.
 
     For a strongly connected reachability graph this is the whole set; in
-    general it is the union of bottom SCCs if there is exactly one bottom
-    SCC, and empty otherwise.
+    general it is the bottom SCC if there is exactly one, and empty
+    otherwise.  ``graph`` is an already-built reachability graph of
+    ``net`` to read instead of exploring.
     """
-    graph = explore(net, max_states)
-    scc_of, sccs, bottom = _strongly_connected_bottom(graph)
-    bottoms = [i for i, b in enumerate(bottom) if b]
-    if len(bottoms) != 1:
-        return set()
-    return set(sccs[bottoms[0]])
+    if graph is None:
+        graph = reachability_graph(net, max_states)
+    bottoms = graph.bottom_sccs()
+    return bottoms[0] if len(bottoms) == 1 else set()
 
 
 def is_reversible(net: PetriNet,

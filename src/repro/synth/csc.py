@@ -20,14 +20,14 @@ Two techniques from the paper are implemented:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
+from .. import obs
 from ..budgets import REDUCTION_STATE_BOUND
-from ..errors import CSCError, ConsistencyError, ReproError, UnboundedError
+from ..errors import CSCError, ReproError, StateExplosionError
 from ..petri.properties import is_live
 from ..stg.signals import SignalType
 from ..stg.stg import STG
-from ..ts.state_graph import build_state_graph
 from ..analysis.implementability import check_implementability
 
 
@@ -70,17 +70,31 @@ def _insertion_targets(stg: STG) -> List[Tuple[str, ...]]:
 
 def _insertion_metrics(stg: STG, max_states: int) -> Optional[Tuple[int, int]]:
     """(csc conflict count, SG size) if the STG stays well-formed
-    (bounded, consistent, persistent, live), else None."""
+    (bounded, consistent, persistent, live), else None.
+
+    Liveness is read off the state graph the implementability check
+    built, so each candidate is explored once.  A rejection is counted
+    on the active :mod:`repro.obs` span as ``rejected_<reason>``.
+    """
+    reason = None
     try:
         report = check_implementability(stg, max_states=max_states)
+    except StateExplosionError:
+        reason = "state_budget"
     except ReproError:
-        return None
-    if not (report.bounded and report.consistent and report.persistent):
-        return None
-    try:
-        if not is_live(stg.net, max_states=max_states):
-            return None
-    except ReproError:
+        reason = "error"
+    else:
+        if not report.bounded:
+            reason = "unbounded"
+        elif not report.consistent:
+            reason = "inconsistent"
+        elif not report.persistent:
+            reason = "non_persistent"
+        elif not is_live(stg.net, max_states=max_states,
+                         graph=report.state_graph.ts):
+            reason = "not_live"
+    if reason is not None:
+        obs.add("rejected_" + reason)
         return None
     return len(report.csc_conflicts), report.states
 
@@ -95,6 +109,14 @@ def enumerate_insertions(stg: STG, signal: str = "csc0",
     are returned; otherwise partial resolutions (fewer conflicts than the
     input) are included.  Sorted best-first: fewest remaining conflicts,
     then smallest state graph, then lexicographic.
+
+    When :func:`repro.obs.enabled`, the active span counts the
+    ``candidates`` tried, the ``accepted`` ones and each rejection as
+    ``rejected_<reason>``: ``insert_error`` (the insertion itself
+    failed), ``state_budget``, ``error`` (any other failure of the
+    implementability check), ``unbounded``, ``inconsistent``,
+    ``non_persistent``, ``not_live`` and ``no_gain`` (well-formed, but
+    not fewer conflicts).
     """
     base = check_implementability(stg, max_states=max_states)
     base_conflicts = len(base.csc_conflicts)
@@ -104,21 +126,25 @@ def enumerate_insertions(stg: STG, signal: str = "csc0",
         for fall_before in targets:
             if set(rise_before) & set(fall_before):
                 continue
+            obs.add("candidates")
             try:
                 attempt = stg.insert_signal(
                     signal, rise_before=list(rise_before),
                     fall_before=list(fall_before))
             except ReproError:
+                obs.add("rejected_insert_error")
                 continue
             metrics = _insertion_metrics(attempt, max_states)
             if metrics is None:
                 continue
             conflicts, states = metrics
             if conflicts > 0 and (full_only or conflicts >= base_conflicts):
+                obs.add("rejected_no_gain")
                 continue
             candidates.append(InsertionCandidate(
                 ",".join(rise_before), ",".join(fall_before),
                 conflicts, states, attempt))
+    obs.add("accepted", len(candidates))
     candidates.sort(key=lambda c: (c.conflicts, c.states,
                                    c.rise_before, c.fall_before))
     return candidates
@@ -135,24 +161,32 @@ def resolve_csc(stg: STG, signal_prefix: str = "csc",
     not strictly reduce the conflict count are discarded, so the iteration
     always progresses.  Raises :class:`CSCError` if the search fails within
     ``max_signals`` insertions.
+
+    When :func:`repro.obs.enabled`, the search runs under a
+    ``synth.csc_resolve`` span counting the ``signals`` inserted and,
+    summed over the steps, the candidate counters of
+    :func:`enumerate_insertions`.
     """
-    current = stg
-    for k in range(max_signals):
+    with obs.span("synth.csc_resolve", stg=stg.name):
+        current = stg
+        for k in range(max_signals):
+            report = check_implementability(current, max_states=max_states)
+            if report.consistent and report.has_csc:
+                return current
+            candidates = enumerate_insertions(
+                current, signal="%s%d" % (signal_prefix, k),
+                max_states=max_states, full_only=False)
+            if not candidates:
+                raise CSCError(
+                    "no single-signal insertion reduces the CSC conflicts"
+                    " of %r" % current.name)
+            current = candidates[0].stg
+            obs.add("signals")
         report = check_implementability(current, max_states=max_states)
         if report.consistent and report.has_csc:
             return current
-        candidates = enumerate_insertions(
-            current, signal="%s%d" % (signal_prefix, k),
-            max_states=max_states, full_only=False)
-        if not candidates:
-            raise CSCError(
-                "no single-signal insertion reduces the CSC conflicts of %r"
-                % current.name)
-        current = candidates[0].stg
-    report = check_implementability(current, max_states=max_states)
-    if report.consistent and report.has_csc:
-        return current
-    raise CSCError("CSC unresolved after %d signal insertions" % max_signals)
+        raise CSCError("CSC unresolved after %d signal insertions"
+                       % max_signals)
 
 
 def resolve_by_concurrency_reduction(stg: STG,

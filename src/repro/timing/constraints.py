@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..errors import ReproError
+from ..errors import ReproError, UnboundedError
 from ..stg.stg import STG
+from ..ts.builder import build_reachability_graph
 from ..ts.state_graph import StateGraph, build_state_graph
 
 
@@ -73,17 +74,25 @@ def apply_timing_assumption(stg: STG, early: str, late: str) -> STG:
     keeps the net live and 1-safe is returned (unmarked preferred).
     Raises :class:`ReproError` if neither variant works.
     """
-    from ..petri.properties import is_live, is_safe
+    from ..petri.properties import is_live
 
     last_error: Optional[str] = None
     for marked in (False, True):
         candidate = stg.add_ordering_arc(early, late, initially_marked=marked)
         try:
-            if is_safe(candidate.net) and is_live(candidate.net):
-                return candidate
-            last_error = "candidate with marked=%s not safe+live" % marked
+            # the 1-safe build refuses any unsafe firing, so one
+            # exploration answers both questions
+            graph = build_reachability_graph(candidate.net)
+            ok = (candidate.net.initial_marking.is_safe()
+                  and is_live(candidate.net, graph=graph))
+        except UnboundedError:
+            ok = False  # a firing violated 1-safeness
         except ReproError as exc:
             last_error = str(exc)
+            continue
+        if ok:
+            return candidate
+        last_error = "candidate with marked=%s not safe+live" % marked
     raise ReproError(
         "timing assumption %s -> %s cannot be applied: %s"
         % (early, late, last_error))

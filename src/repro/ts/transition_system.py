@@ -110,6 +110,52 @@ class TransitionSystem:
         """Total number of arcs."""
         return sum(len(v) for v in self._succ.values())
 
+    def bottom_sccs(self) -> List[Set[State]]:
+        """The bottom strongly connected components: those no arc leaves
+        (iterative Tarjan).  Liveness and home states are read off them."""
+        succ = self._succ
+        index: Dict[State, int] = {}
+        low: Dict[State, int] = {}
+        stack: List[State] = []
+        on_stack: Set[State] = set()
+        bottoms: List[Set[State]] = []
+        for root in succ:
+            if root in index:
+                continue
+            index[root] = low[root] = len(index)
+            stack.append(root)
+            on_stack.add(root)
+            work = [(root, iter(succ[root]))]
+            while work:
+                v, arcs = work[-1]
+                for _, w in arcs:
+                    if w not in index:
+                        index[w] = low[w] = len(index)
+                        stack.append(w)
+                        on_stack.add(w)
+                        work.append((w, iter(succ[w])))
+                        break
+                    if w in on_stack and index[w] < low[v]:
+                        low[v] = index[w]
+                else:  # every arc of v handled: v is finished
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        if low[v] < low[parent]:
+                            low[parent] = low[v]
+                    if low[v] == index[v]:
+                        component: Set[State] = set()
+                        while True:
+                            w = stack.pop()
+                            on_stack.discard(w)
+                            component.add(w)
+                            if w == v:
+                                break
+                        if all(t in component for s in component
+                               for _, t in succ[s]):
+                            bottoms.append(component)
+        return bottoms
+
     def is_deterministic(self) -> bool:
         """No state has two outgoing arcs with the same event."""
         for succs in self._succ.values():

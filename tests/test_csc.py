@@ -3,10 +3,16 @@
 
 import pytest
 
+from repro import obs
 from repro.errors import CSCError
 from repro.analysis import check_implementability
 from repro.petri import is_live, reachable_markings
-from repro.stg import concurrent_latch_controller, vme_read, vme_read_csc
+from repro.stg import (
+    concurrent_latch_controller,
+    vme_read,
+    vme_read_csc,
+    vme_read_write,
+)
 from repro.synth import (
     enumerate_insertions,
     resolve_by_concurrency_reduction,
@@ -76,3 +82,66 @@ class TestConcurrencyReduction:
         netlist = synthesize_complex_gates(reduced)
         # verify against the reduced spec (the contract the env now obeys)
         assert verify_circuit(netlist, reduced).ok
+
+
+class TestLivenessFromTheImplementabilityGraph:
+    def test_graph_answer_matches_fresh_exploration_on_every_insertion(
+            self, monkeypatch):
+        """Each candidate's liveness is read off the graph its
+        implementability check built; on every insertion the search
+        tries it must equal a fresh exploration of the candidate net."""
+        import repro.synth.csc as csc
+
+        checked = []
+
+        def recording(stg, **kwargs):
+            report = check_implementability(stg, **kwargs)
+            checked.append((stg, report))
+            return report
+
+        monkeypatch.setattr(csc, "check_implementability", recording)
+        enumerate_insertions(vme_read_write(), full_only=False)
+        graphs = [(stg, report.state_graph) for stg, report in checked
+                  if report.state_graph is not None]
+        assert len(graphs) > 10
+        for stg, sg in graphs:
+            assert is_live(stg.net, graph=sg.ts) == is_live(stg.net)
+
+    def test_report_keeps_the_graph_out_of_repr_and_equality(self):
+        report = check_implementability(vme_read())
+        assert len(report.state_graph) == report.states
+        assert "state_graph" not in repr(report)
+        other = check_implementability(vme_read())
+        other.state_graph = None
+        assert other == report
+
+
+class TestResolutionSpan:
+    def test_span_counts_candidates_by_outcome(self):
+        with obs.tracing() as sink:
+            resolve_csc(vme_read_write())
+        (record,) = sink.spans("synth.csc_resolve")
+        counters = record["counters"]
+        assert counters["signals"] == 1
+        rejected = sum(n for key, n in counters.items()
+                       if key.startswith("rejected_"))
+        assert counters["candidates"] == counters["accepted"] + rejected
+        assert counters["accepted"] > 0
+        assert set(key[len("rejected_"):] for key in counters
+                   if key.startswith("rejected_")) <= {
+            "insert_error", "state_budget", "error", "unbounded",
+            "inconsistent", "non_persistent", "not_live", "no_gain"}
+
+    def test_span_closes_on_refusal(self):
+        with obs.tracing() as sink:
+            with pytest.raises(CSCError):
+                resolve_csc(vme_read(), max_signals=0)
+        assert len(sink.spans("synth.csc_resolve")) == 1
+
+    def test_no_span_when_disabled(self):
+        sink = obs.add_sink(obs.MemorySink())
+        try:
+            resolve_csc(vme_read())
+        finally:
+            obs.remove_sink(sink)
+        assert not sink.spans("synth.csc_resolve")

@@ -15,7 +15,7 @@ import os
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -194,6 +194,8 @@ def span_forests(draw):
 class TestMergeProperties:
     @given(span_forests())
     @settings(max_examples=30, deadline=None)
+    # a child spanning its whole worker.task root, with a lower seq
+    @example([_worker_record("s0", 1, "worker.task", 10.0, 10.0, 0)])
     def test_merge_preserves_nesting_and_counter_totals(self, records):
         obs.reset()
         obs.enable()

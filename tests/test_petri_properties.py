@@ -15,10 +15,12 @@ from repro.petri import (
     is_live,
     is_reversible,
     is_safe,
+    reachability_graph,
     reachable_markings,
     unsafe_witness,
 )
 from repro.stg import vme_read, vme_read_write
+from repro.ts import build_reachability_graph
 
 
 def unbounded_net():
@@ -114,3 +116,59 @@ class TestDeadlockLiveness:
         net.add_arc("tb", "b")
         assert home_markings(net) == set()
         assert not is_reversible(net)
+
+
+def never_firing_net():
+    """A one-transition cycle plus a transition whose input place is
+    never marked."""
+    net = PetriNet("never")
+    net.add_place("p", tokens=1)
+    net.add_place("q")
+    net.add_transition("loop")
+    net.add_transition("never")
+    net.add_arc("p", "loop")
+    net.add_arc("loop", "p")
+    net.add_arc("q", "never")
+    net.add_arc("never", "p")
+    return net
+
+
+class TestPrebuiltGraph:
+    def test_transition_that_never_fires_is_not_live(self):
+        net = never_firing_net()
+        graph = build_reachability_graph(net)
+        assert "never" not in graph.events
+        assert not is_live(net, graph=graph)
+        assert not is_live(net)
+
+    def test_graph_answers_match_exploration(self):
+        for net in (vme_read().net, vme_read_write().net, deadlocking_net(),
+                    never_firing_net()):
+            graph = reachability_graph(net)
+            assert is_live(net, graph=graph) == is_live(net)
+            assert home_markings(net, graph=graph) == home_markings(net)
+
+    def test_passed_graph_is_not_re_explored(self):
+        # a budget of one state would fail any exploration
+        net = vme_read().net
+        graph = build_reachability_graph(net)
+        assert is_live(net, max_states=1, graph=graph)
+        assert len(home_markings(net, max_states=1, graph=graph)) == 14
+
+    def test_weighted_bounded_net_uses_the_k_bounded_build(self):
+        net = PetriNet("weighted")
+        net.add_place("p", tokens=2)
+        net.add_place("q")
+        net.add_transition("t")
+        net.add_transition("u")
+        net.add_arc("p", "t", 2)
+        net.add_arc("t", "q")
+        net.add_arc("q", "u")
+        net.add_arc("u", "p", 2)
+        assert len(reachability_graph(net)) == 2
+        assert bound(net) == 2
+        assert is_live(net)
+
+    def test_unbounded_error_names_the_growing_places(self):
+        with pytest.raises(UnboundedError, match="sink"):
+            reachability_graph(unbounded_net())
