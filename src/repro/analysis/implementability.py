@@ -25,12 +25,11 @@ two query engines answer the CSC question alone without enumeration:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from .. import obs
 from ..budgets import DEFAULT_STATE_BOUND
 from ..errors import ConsistencyError, UnboundedError
-from ..stg.signals import SignalEvent
 from ..stg.stg import STG
 from ..ts.state_graph import StateGraph, build_state_graph
 from ..ts.transition_system import State
@@ -144,10 +143,22 @@ class ImplementabilityReport:
 # individual checks on a built state graph
 # ---------------------------------------------------------------------- #
 
+def _shared_codes(sg: StateGraph) -> List[Tuple[Tuple[int, ...], List[int]]]:
+    """``(code, state indices)`` for every code at least two states
+    share, sorted by code; states in parity-walk discovery order."""
+    shared = [(sg.code_of_parity(parity), members)
+              for parity, members in sg.code_classes().items()
+              if len(members) > 1]
+    shared.sort(key=lambda entry: entry[0])
+    return shared
+
+
 def usc_conflicts(sg: StateGraph) -> List[USCConflict]:
     """All pairs of distinct states sharing a binary code."""
+    state_at = sg.ts.state_at
     result = []
-    for code, states in sorted(sg.states_by_code().items()):
+    for code, members in _shared_codes(sg):
+        states = [state_at(i) for i in members]
         for i in range(len(states)):
             for j in range(i + 1, len(states)):
                 result.append(USCConflict(code, states[i], states[j]))
@@ -156,17 +167,19 @@ def usc_conflicts(sg: StateGraph) -> List[USCConflict]:
 
 def csc_conflicts(sg: StateGraph) -> List[CSCConflict]:
     """All pairs of same-code states with different non-input excitation."""
+    state_at = sg.ts.state_at
+    enabled = sg.enabled_masks
+    noninput = sg.noninput_mask
     result = []
-    for code, states in sorted(sg.states_by_code().items()):
-        if len(states) < 2:
+    for code, members in _shared_codes(sg):
+        masks = [enabled[i] & noninput for i in members]
+        if masks.count(masks[0]) == len(masks):
             continue
-        signatures = [
-            frozenset(sg.enabled_signals(s, noninput_only=True))
-            for s in states
-        ]
+        states = [state_at(i) for i in members]
+        signatures = [sg.signal_directions(mask) for mask in masks]
         for i in range(len(states)):
             for j in range(i + 1, len(states)):
-                if signatures[i] != signatures[j]:
+                if masks[i] != masks[j]:
                     result.append(CSCConflict(code, states[i], states[j],
                                               signatures[i], signatures[j]))
     return result
@@ -182,32 +195,40 @@ def persistency_violations(sg: StateGraph) -> List[PersistencyViolation]:
     * ``a`` non-input: "output" violation (glitch at a gate output);
     * ``a`` input disabled by non-input ``b``: "input" violation;
     * ``a`` input disabled by input ``b``: allowed (environment choice).
+
+    One bitmask test per arc finds the violations; only the states that
+    have one are decoded.  They are reported by state index, then in arc
+    order (sorted transition names, as every engine builds its graphs),
+    then by ``a`` in signal order, rising first.
     """
-    stg = sg.stg
+    ts = sg.ts
+    labels = ts.labels
+    enabled = sg.enabled_masks
+    own = sg.label_signal_masks
+    noninput = sg.noninput_mask
     result = []
-    for state in sg.states:
-        enabled_here = sg.enabled_signals(state)
-        for tname in sg.ts.enabled(state):
-            b = stg.event_of(tname)
-            if b.is_dummy:
+    for i, arcs in enumerate(ts.arc_lists()):
+        here = enabled[i]
+        state = None
+        for label, j in arcs:
+            signal = own[label]
+            if not signal:
+                continue  # dummy events are not checked as disablers
+            lost = here & ~enabled[j] & ~signal
+            if not signal & noninput:
+                lost &= noninput  # an input disabling an input is a choice
+            if not lost:
                 continue
-            successor = sg.ts.fire(state, tname)
-            enabled_after = sg.enabled_signals(successor)
-            for (sig, direction) in enabled_here:
-                if sig == b.signal:
-                    continue
-                if (sig, direction) in enabled_after:
-                    continue
-                a_noninput = stg.type_of(sig).is_noninput
-                b_noninput = stg.type_of(b.signal).is_noninput
-                if a_noninput:
-                    kind = "output"
-                elif b_noninput:
-                    kind = "input"
-                else:
-                    continue  # input choice: allowed
-                result.append(PersistencyViolation(
-                    state, sig + direction, str(b), kind))
+            if state is None:
+                state = ts.state_at(i)
+            by = str(sg.stg.event_of(labels[label]))
+            while lost:
+                low = lost & -lost
+                lost ^= low
+                (sig, direction), = sg.signal_directions(low)
+                kind = "output" if low & noninput else "input"
+                result.append(PersistencyViolation(state, sig + direction,
+                                                   by, kind))
     return result
 
 

@@ -593,6 +593,11 @@ def cmd_bdd_check(args) -> int:
         if args.reduce:
             net = linear_reduce(net)
         verdict, code, details, lines = _bdd_check_verdict(args, stg, net)
+    if args.reduce:
+        # every answer is about the reduced net, whose markings are not
+        # the specification's: say so next to the number
+        details = dict(details, reduced_net=True)
+        lines[0] += " [linearly reduced net, not the specification]"
     if args.json:
         details = dict(details, query=args.query)
         print(json.dumps(tel.run_report("bdd-check", args.spec, verdict,
@@ -964,7 +969,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", choices=["dfs", "sorted"], default="dfs",
                    help="BDD variable-order heuristic")
     p.add_argument("--reduce", action="store_true",
-                   help="linear-reduce the net first (count/deadlock only)")
+                   help="linear-reduce the net first (count/deadlock"
+                        " only); the answer is about the reduced net and is"
+                        " labelled so")
     p.add_argument("--engine", choices=["bdd", "portfolio"], default="bdd",
                    help="portfolio: race all applicable engines instead of"
                         " running the BDD fixpoint alone (see `check`)")

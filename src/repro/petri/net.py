@@ -86,6 +86,8 @@ class PetriNet:
         # bumped on every structural change; consumers that preprocess the
         # net (e.g. the compiled bitvector engine) key their caches on it.
         self._structure_version = 0
+        # (structure version, answer) of the last has_ordinary_arcs scan
+        self._ordinary = (-1, True)
 
     def _invalidate_adjacency(self) -> None:
         self._structure_version += 1
@@ -140,6 +142,21 @@ class PetriNet:
                 % (source, target)
             )
 
+    def remove_arc(self, source: str, target: str) -> None:
+        """Remove the arc place->transition or transition->place (whatever
+        its weight); raises :class:`ModelError` if there is none."""
+        if source in self.places and target in self.transitions:
+            arcs, place, reverse = self._pre[target], source, self._place_out
+        elif source in self.transitions and target in self.places:
+            arcs, place, reverse = self._post[source], target, self._place_in
+        else:
+            arcs, place, reverse = {}, None, None
+        if place not in arcs:
+            raise ModelError("no arc %r -> %r" % (source, target))
+        self._invalidate_adjacency()
+        del arcs[place]
+        del reverse[place][target if place == source else source]
+
     def remove_place(self, name: str) -> None:
         """Remove a place and all arcs incident to it."""
         if name not in self.places:
@@ -174,7 +191,8 @@ class PetriNet:
         """Input nodes of ``node`` with arc weights (a read-only snapshot).
 
         Snapshots are memoized per node and invalidated on any structural
-        change (``add_arc`` / ``remove_place`` / ``remove_transition``), so
+        change (``add_arc`` / ``remove_arc`` / ``remove_place`` /
+        ``remove_transition``), so
         repeated queries in analysis loops cost a dict lookup.
         """
         cached = self._preset_cache.get(node)
@@ -249,8 +267,13 @@ class PetriNet:
             place.tokens = tokens.get(name, 0)
 
     def has_ordinary_arcs(self) -> bool:
-        """True if every arc has weight 1."""
-        return all(w == 1 for _, _, w in self.arcs())
+        """True if every arc has weight 1 (memoized per structure
+        version)."""
+        version, ordinary = self._ordinary
+        if version != self._structure_version:
+            ordinary = all(w == 1 for _, _, w in self.arcs())
+            self._ordinary = (self._structure_version, ordinary)
+        return ordinary
 
     def label_of(self, transition: str):
         """Label attached to a transition."""

@@ -150,7 +150,8 @@ def find_deadlocks(net: PetriNet,
                          % engine)
     if markings is None:
         graph = reachability_graph(net, max_states)
-        dead = (m for m in graph.states if not graph.successors(m))
+        dead = (graph.state_at(i)
+                for i, arcs in enumerate(graph.arc_lists()) if not arcs)
     else:
         dead = (m for m in markings if not enabled_transitions(net, m))
     return sorted(dead, key=lambda m: repr(m))
@@ -171,13 +172,23 @@ def is_live(net: PetriNet, max_states: int = DEFAULT_STATE_BOUND,
     built it, else :func:`reachability_graph` — every bottom strongly
     connected component must contain an occurrence of every transition
     of ``net``, including those that never fire and so label no arc.
+    The components and the transitions they fire are read off the
+    graph's state indices, so no marking is decoded.
     """
     if graph is None:
         graph = reachability_graph(net, max_states)
-    transitions = set(net.transitions)
-    for component in graph.bottom_sccs():
-        fired = {t for m in component for t, _ in graph.successors(m)}
-        if fired != transitions:
+    wanted = 0
+    for t in net.transitions:
+        label = graph.label_index(t)
+        if label is None:  # labels no arc, so never fires
+            return False
+        wanted |= 1 << label
+    fired_in = graph.enabled_masks()
+    for component in graph.bottom_scc_indices():
+        fired = 0
+        for i in component:
+            fired |= fired_in[i]
+        if fired != wanted:
             return False
     return True
 

@@ -201,28 +201,12 @@ class STG:
                 pre = dict(result.net.pre(target))
                 for place, w in pre.items():
                     # move the arc place -> target to place -> new_t
-                    result._remove_arc(place, target)
+                    result.net.remove_arc(place, target)
                     result.net.add_arc(place, new_t, w)
                 bridge = result.add_place()
                 result.net.add_arc(new_t, bridge)
                 result.net.add_arc(bridge, target)
         return result
-
-    def _remove_arc(self, place: str, transition: str) -> None:
-        """Remove a single place->transition arc (internal helper)."""
-        pre = self.net.pre(transition)
-        if place not in pre:
-            raise ModelError("no arc %r -> %r" % (place, transition))
-        del pre[place]
-        del self.net._place_out[place][transition]
-
-    def _remove_arc_tp(self, transition: str, place: str) -> None:
-        """Remove a single transition->place arc (internal helper)."""
-        post = self.net.post(transition)
-        if place not in post:
-            raise ModelError("no arc %r -> %r" % (transition, place))
-        del post[place]
-        del self.net._place_in[place][transition]
 
     def add_ordering_arc(self, first: str, second: str,
                          initially_marked: Optional[bool] = None) -> "STG":

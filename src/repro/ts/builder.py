@@ -206,66 +206,65 @@ def _traced_build(engine: str, net: PetriNet, build) -> TransitionSystem:
 
 def _build_compiled(net: PetriNet, initial: Marking,
                     max_states: int) -> TransitionSystem:
-    """Bitvector BFS with incremental enabled-set maintenance."""
+    """Bitvector BFS with incremental enabled-set maintenance.
+
+    The BFS runs entirely on integer states and hands its arrays to the
+    transition system as they are: codes in discovery order, arcs as
+    ``(transition index, state index)`` and the enabled-transition mask
+    of every state.  Markings are decoded only when a state-keyed view of
+    the graph is asked for.  Discovery order and the sorted transition
+    order per state are the insertion order the naive engine produces.
+    """
     compiled = compile_net(net, initial)
     root = compiled.initial
     pre_masks = compiled.pre_masks
     post_masks = compiled.post_masks
-    names = compiled.transitions
     enabled_after = compiled.enabled_after
 
-    # BFS entirely on integer states; arcs recorded as transition indices.
-    arcs_of = {root: []}
-    seen = {root}
-    frontier = [(root, compiled.enabled_mask(root))]
+    codes = [root]
+    position = {root: 0}
+    masks = [compiled.enabled_mask(root)]
+    arc_lists = []
     # live heartbeat progress for portfolio workers (repro.obs.remote):
-    # the provider reads the growing seen-set, so it costs nothing here
+    # the provider reads the growing code list, so it costs nothing here
     tracking = obs.enabled()
     if tracking:
-        obs.push_progress(lambda: {"states": len(seen)})
+        obs.push_progress(lambda: {"states": len(codes)})
     try:
-        while frontier:
-            next_frontier = []
-            for code, enabled in frontier:
-                arcs = arcs_of[code]
-                bits = enabled
-                while bits:
-                    low = bits & -bits
-                    bits ^= low
-                    index = low.bit_length() - 1
-                    stripped = code & ~pre_masks[index]
-                    post = post_masks[index]
-                    conflict = stripped & post
-                    if conflict:
-                        raise compiled.unbounded_error(code, index, conflict)
-                    succ = stripped | post
-                    arcs.append((index, succ))
-                    if succ not in seen:
-                        if len(seen) >= max_states:
-                            raise StateExplosionError(
-                                "reachability graph exceeded %d states"
-                                % max_states,
-                                bound=max_states, states=len(seen))
-                        seen.add(succ)
-                        arcs_of[succ] = []
-                        next_frontier.append(
-                            (succ, enabled_after(enabled, index, succ)))
-            frontier = next_frontier
+        # BFS level order is the order of discovery: the code list is
+        # the queue
+        for code, enabled in zip(codes, masks):
+            arcs = []
+            bits = enabled
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                index = low.bit_length() - 1
+                stripped = code & ~pre_masks[index]
+                post = post_masks[index]
+                conflict = stripped & post
+                if conflict:
+                    raise compiled.unbounded_error(code, index, conflict)
+                succ = stripped | post
+                target = position.get(succ)
+                if target is None:
+                    target = len(codes)
+                    if target >= max_states:
+                        raise StateExplosionError(
+                            "reachability graph exceeded %d states"
+                            % max_states,
+                            bound=max_states, states=target)
+                    position[succ] = target
+                    codes.append(succ)
+                    masks.append(enabled_after(enabled, index, succ))
+                arcs.append((index, target))
+            arc_lists.append(arcs)
     finally:
         if tracking:
             obs.pop_progress()
-
-    # Decode once per state and materialise the TransitionSystem in the
-    # exact insertion order the naive engine would have produced:
-    # discovery (BFS) order for states, sorted transition order per state.
-    decode = compiled.decode
-    marking_of = {code: decode(code) for code in arcs_of}
-    adjacency = {
-        marking_of[code]: [(names[index], marking_of[succ])
-                           for index, succ in arcs]
-        for code, arcs in arcs_of.items()
-    }
-    return TransitionSystem.from_adjacency(marking_of[root], adjacency)
+    return TransitionSystem.from_indexed(
+        codes, arc_lists, compiled.transitions, decode=compiled.decode,
+        enabled=masks)
 
 
 def _build_bdd(net: PetriNet, initial: Marking,

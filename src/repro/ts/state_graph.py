@@ -6,6 +6,17 @@ parity propagation from the initial state; failure to find a consistent
 labelling (rising/falling transitions of some signal do not alternate)
 raises :class:`~repro.errors.ConsistencyError`.
 
+The parity walk runs on the integer-indexed core of the
+:class:`~repro.ts.transition_system.TransitionSystem`.  It leaves, per
+state index, a switching-parity word (bit ``k`` for
+``signal_order[k]``) and a bitmask of the enabled signal directions
+(bit ``2k`` for ``signal_order[k]+``, bit ``2k+1`` for
+``signal_order[k]-``).  The implementability checks of
+:mod:`repro.analysis.implementability` are bitmask passes over these
+arrays and decode only the states they report.  The state-keyed
+``codes`` mapping is built on first use, like the state-keyed views of
+the transition system itself.
+
 The SG also provides the region machinery of Section 3.2:
 
 * ``ER(z+)`` / ``ER(z-)`` — positive/negative *excitation regions*: states
@@ -28,7 +39,18 @@ from .transition_system import State, TransitionSystem
 
 
 class StateGraph:
-    """A reachability graph of an STG with binary signal codes."""
+    """A reachability graph of an STG with binary signal codes.
+
+    Besides the state-keyed API, the graph exposes the arrays the parity
+    walk computes, by state index of :attr:`ts`:
+
+    * ``parities[i]`` — the switching-parity word of state ``i`` (-1 for
+      a state the walk did not reach from the initial state);
+    * ``enabled_masks[i]`` — the enabled signal directions of state ``i``;
+    * ``label_signal_masks[l]`` — both direction bits of the signal of
+      label ``l`` (0 for dummy events and labels on no arc);
+    * ``noninput_mask`` — the direction bits of every non-input signal.
+    """
 
     def __init__(self, stg: STG, ts: TransitionSystem,
                  signal_order: Optional[Sequence[str]] = None):
@@ -41,8 +63,15 @@ class StateGraph:
             raise ConsistencyError("signal_order must be a permutation of the"
                                    " STG's signals")
         self._index = {s: i for i, s in enumerate(self.signal_order)}
-        self.codes: Dict[State, Tuple[int, ...]] = {}
+        self.noninput_mask = 0
+        for k, signal in enumerate(self.signal_order):
+            if stg.type_of(signal).is_noninput:
+                self.noninput_mask |= 3 << 2 * k
         self.initial_values: Dict[str, int] = {}
+        self._codes: Optional[Dict[State, Tuple[int, ...]]] = None
+        self._code_tuples: Dict[int, Tuple[int, ...]] = {}
+        self._classes: Optional[Dict[int, List[int]]] = None
+        self._directions: Dict[int, FrozenSet[Tuple[str, str]]] = {}
         self._enabled_events: Dict[State, List[SignalEvent]] = {}
         self._assign_codes()
 
@@ -51,74 +80,149 @@ class StateGraph:
     # ------------------------------------------------------------------ #
 
     def _assign_codes(self) -> None:
-        """Parity propagation on integer bitvectors.
+        """Parity propagation on the indexed core.
 
-        Parities are packed into a single int per state (bit ``i`` is the
-        switching parity of ``signal_order[i]``), the same bitvector trick
-        the compiled reachability engine uses for markings, so propagating
-        an event is one XOR instead of tuple surgery.  The public
-        ``codes`` mapping still holds per-signal tuples.
+        A depth-first walk from the initial state assigns each state a
+        parity word (bit ``k`` is the switching parity of
+        ``signal_order[k]``), so propagating an event is one XOR.  The
+        first arc that fixes a signal's initial value is its witness;
+        any later arc implying the other value, or a state reached with
+        two parities, raises :class:`ConsistencyError`.  The same walk
+        ORs together each state's enabled signal directions.
         """
-        n = len(self.signal_order)
-        # event metadata per transition name, resolved once
-        event_bit: Dict[str, Tuple[SignalEvent, int, bool]] = {}
-        for tname in self.ts.events:
-            event = self.stg.event_of(tname)
+        ts = self.ts
+        labels = ts.labels
+        # per label: parity flip, direction bit, own-signal bits, and the
+        # flip again for falling events (whose source value is 1)
+        flip = [0] * len(labels)
+        direction = [0] * len(labels)
+        own = [0] * len(labels)
+        falling = [0] * len(labels)
+        for name in ts.events:
+            label = ts.label_index(name)
+            event = self.stg.event_of(name)
             if event.is_dummy:
-                event_bit[tname] = (event, -1, False)
+                continue
+            k = self._index[event.signal]
+            flip[label] = 1 << k
+            own[label] = 3 << 2 * k
+            if event.is_rising:
+                direction[label] = 1 << 2 * k
             else:
-                event_bit[tname] = (event, self._index[event.signal],
-                                    event.is_rising)
-        parity: Dict[State, int] = {self.ts.initial: 0}
-        init: Dict[str, Tuple[int, str]] = {}  # signal -> (value, witness)
-        stack = [self.ts.initial]
+                direction[label] = 2 << 2 * k
+                falling[label] = 1 << k
+        out = ts.arc_lists()
+        parity = [-1] * len(out)
+        enabled = [0] * len(out)
+        parity[0] = 0
+        order = [0]
+        stack = [0]
+        fixed = 0      # signals whose initial value some arc has fixed
+        values = 0     # ... and those values
+        witness: Dict[int, int] = {}  # signal flip -> label fixing it
         while stack:
-            state = stack.pop()
-            p = parity[state]
-            for tname, succ in self.ts.successors(state):
-                event, idx, rising = event_bit[tname]
-                if idx < 0:
-                    q = p
-                else:
-                    bit = (p >> idx) & 1
-                    q = p ^ (1 << idx)
+            i = stack.pop()
+            p = parity[i]
+            mask = 0
+            for label, j in out[i]:
+                f = flip[label]
+                if f:
+                    mask |= direction[label]
+                    q = p ^ f
                     # the source value of the signal is fixed by direction:
-                    # a+ requires value 0 before, so init = parity (since
-                    # value = init XOR parity); a- requires value 1 before.
-                    required = bit if rising else 1 - bit
-                    prev = init.get(event.signal)
-                    if prev is None:
-                        init[event.signal] = (required, tname)
-                    elif prev[0] != required:
+                    # a+ requires value 0 before, a- value 1; since
+                    # value = initial XOR parity, this fixes the initial
+                    required = (p & f) ^ falling[label]
+                    if not fixed & f:
+                        fixed |= f
+                        values |= required
+                        witness[f] = label
+                    elif values & f != required:
                         raise ConsistencyError(
                             "signal %r: transitions %r and %r imply different"
                             " initial values — rising/falling edges do not"
-                            " alternate" % (event.signal, prev[1], tname)
-                        )
-                known = parity.get(succ)
-                if known is not None:
-                    if known != q:
-                        raise ConsistencyError(
-                            "state %r reached with different switching"
-                            " parities — inconsistent STG" % (succ,)
-                        )
+                            " alternate" % (self.stg.event_of(
+                                labels[label]).signal,
+                                labels[witness[f]], labels[label]))
                 else:
-                    parity[succ] = q
-                    stack.append(succ)
+                    q = p
+                known = parity[j]
+                if known < 0:
+                    parity[j] = q
+                    order.append(j)
+                    stack.append(j)
+                elif known != q:
+                    raise ConsistencyError(
+                        "state %r reached with different switching"
+                        " parities — inconsistent STG" % (ts.state_at(j),))
+            enabled[i] = mask
+        if len(order) < len(out):  # states the walk cannot reach
+            for i, arcs in enumerate(out):
+                if parity[i] < 0:
+                    for label, _ in arcs:
+                        enabled[i] |= direction[label]
         self.initial_values = {
-            s: init.get(s, (0, ""))[0] for s in self.signal_order
+            s: values >> k & 1 for k, s in enumerate(self.signal_order)
         }
-        init_vec = tuple(self.initial_values[s] for s in self.signal_order)
-        # decode packed parities back to per-signal tuples; memoized by
-        # parity word since distinct states share few distinct parities
-        decoded: Dict[int, Tuple[int, ...]] = {}
-        for state, p in parity.items():
-            code = decoded.get(p)
-            if code is None:
-                code = tuple(iv ^ ((p >> i) & 1)
-                             for i, iv in enumerate(init_vec))
-                decoded[p] = code
-            self.codes[state] = code
+        self._initial_word = values
+        self._order = order
+        self.parities = parity
+        self.enabled_masks = enabled
+        self.label_signal_masks = own
+
+    def code_of_parity(self, parity: int) -> Tuple[int, ...]:
+        """The binary code (ordered by ``signal_order``) of the states
+        with the given parity word."""
+        code = self._code_tuples.get(parity)
+        if code is None:
+            word = self._initial_word ^ parity
+            code = tuple(word >> k & 1 for k in range(len(self.signal_order)))
+            self._code_tuples[parity] = code
+        return code
+
+    def code_classes(self) -> Dict[int, List[int]]:
+        """State indices grouped by parity word — equivalently by binary
+        code — in parity-walk discovery order."""
+        classes = self._classes
+        if classes is None:
+            classes = {}
+            parity = self.parities
+            for i in self._order:
+                members = classes.get(parity[i])
+                if members is None:
+                    classes[parity[i]] = [i]
+                else:
+                    members.append(i)
+            self._classes = classes
+        return classes
+
+    def signal_directions(self, mask: int) -> FrozenSet[Tuple[str, str]]:
+        """The ``(signal, direction)`` pairs of an enabled-direction mask."""
+        pairs = self._directions.get(mask)
+        if pairs is None:
+            order = self.signal_order
+            found = []
+            bits = mask
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                bit = low.bit_length() - 1
+                found.append((order[bit >> 1], FALL if bit & 1 else RISE))
+            pairs = self._directions[mask] = frozenset(found)
+        return pairs
+
+    @property
+    def codes(self) -> Dict[State, Tuple[int, ...]]:
+        """Binary code of every state the parity walk reached, in
+        discovery order (built on first use)."""
+        codes = self._codes
+        if codes is None:
+            state_at = self.ts.state_at
+            parity = self.parities
+            code_of = self.code_of_parity
+            codes = self._codes = {state_at(i): code_of(parity[i])
+                                   for i in self._order}
+        return codes
 
     # ------------------------------------------------------------------ #
     # basic queries
@@ -158,14 +262,10 @@ class StateGraph:
     def enabled_signals(self, state: State,
                         noninput_only: bool = False) -> Set[Tuple[str, str]]:
         """Set of ``(signal, direction)`` pairs enabled in a state."""
-        result = set()
-        for event in self.enabled_events(state):
-            if event.is_dummy:
-                continue
-            if noninput_only and not self.stg.type_of(event.signal).is_noninput:
-                continue
-            result.add(event.base())
-        return result
+        mask = self.enabled_masks[self.ts.index_of(state)]
+        if noninput_only:
+            mask &= self.noninput_mask
+        return set(self.signal_directions(mask))
 
     def code_str(self, state: State,
                  groups: Optional[Sequence[Sequence[str]]] = None,
@@ -191,10 +291,9 @@ class StateGraph:
 
     def states_by_code(self) -> Dict[Tuple[int, ...], List[State]]:
         """Group states by binary code (the key map for USC/CSC checks)."""
-        groups: Dict[Tuple[int, ...], List[State]] = {}
-        for state, code in self.codes.items():
-            groups.setdefault(code, []).append(state)
-        return groups
+        state_at = self.ts.state_at
+        return {self.code_of_parity(parity): [state_at(i) for i in members]
+                for parity, members in self.code_classes().items()}
 
     # ------------------------------------------------------------------ #
     # excitation and quiescent regions (Section 3.2)

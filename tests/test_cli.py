@@ -120,6 +120,27 @@ class TestBddCheck:
         assert main(["bdd-check", spec_file]) == 0
         assert "reachable markings: 14" in capsys.readouterr().out
 
+    def test_reduced_count_is_labelled(self, capsys):
+        """The reduced net of vme_read has 6 markings against the
+        specification's 14: the answer must say which net it counts."""
+        assert main(["bdd-check", "vme_read", "--query", "count"]) == 0
+        plain = capsys.readouterr().out
+        assert plain == "reachable markings: 14 (11 places, 32 BDD nodes)\n"
+        assert main(["bdd-check", "vme_read", "--query", "count",
+                     "--reduce"]) == 0
+        out = capsys.readouterr().out
+        assert "reachable markings: 6 " in out
+        assert out.rstrip().endswith(
+            "[linearly reduced net, not the specification]")
+        assert main(["bdd-check", "vme_read", "--query", "count",
+                     "--json"]) == 0
+        details = json.loads(capsys.readouterr().out)["details"]
+        assert details["reachable"] == 14 and "reduced_net" not in details
+        assert main(["bdd-check", "vme_read", "--query", "count",
+                     "--reduce", "--json"]) == 0
+        details = json.loads(capsys.readouterr().out)["details"]
+        assert details["reachable"] == 6 and details["reduced_net"] is True
+
     def test_count_dense_reduced(self, capsys):
         assert main(["bdd-check", "vme_read_write", "--query", "count",
                      "--encoding", "dense", "--reduce"]) == 0

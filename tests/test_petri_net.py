@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ModelError
-from repro.petri import Marking, PetriNet
+from repro.petri import Marking, PetriNet, compile_net
+from repro.stg import vme_read
 
 
 def simple_net():
@@ -119,6 +120,55 @@ class TestEditing:
             net.remove_place("zzz")
         with pytest.raises(ModelError):
             net.remove_transition("zzz")
+
+    def test_remove_arc_both_directions(self):
+        net = simple_net()
+        net.remove_arc("p", "t")
+        net.remove_arc("t", "q")
+        assert net.pre("t") == {} and net.post("t") == {}
+        assert net.postset("p") == {} and net.preset("q") == {}
+
+    def test_remove_missing_arc_raises(self):
+        net = simple_net()
+        with pytest.raises(ModelError):
+            net.remove_arc("q", "t")
+        with pytest.raises(ModelError):
+            net.remove_arc("p", "q")
+
+    def test_remove_arc_invalidates_cached_views(self):
+        """Snapshots and the compiled engine taken before a removal must
+        not keep showing the removed arc."""
+        net = vme_read().net
+        place = sorted(net.preset("LDS+"))[0]
+        assert "LDS+" in net.postset(place)
+        before = compile_net(net)
+        net.remove_arc(place, "LDS+")
+        assert "LDS+" not in net.postset(place)
+        assert place not in net.preset("LDS+")
+        after = compile_net(net)
+        assert after is not before
+        pre = after.pre_masks[after.transition_bit["LDS+"]]
+        assert not pre & 1 << after.place_bit[place]
+
+    def test_insert_signal_moves_arcs_consistently(self):
+        stg = vme_read().insert_signal("csc0", ["LDS+"], ["D-"])
+        net = stg.net
+        for t in net.transitions:
+            for p in net.pre(t):
+                assert t in net.postset(p)
+            for p in net.post(t):
+                assert t in net.preset(p)
+        for p in net.places:
+            for t in net.postset(p):
+                assert p in net.pre(t)
+
+    def test_ordinary_arcs_answer_follows_edits(self):
+        net = simple_net()
+        assert net.has_ordinary_arcs()
+        net.add_arc("p", "t")  # weights accumulate: p -> t now weighs 2
+        assert not net.has_ordinary_arcs()
+        net.remove_arc("p", "t")
+        assert net.has_ordinary_arcs()
 
     def test_copy_is_deep(self):
         net = simple_net()

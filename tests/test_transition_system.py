@@ -50,6 +50,36 @@ class TestBasics:
         assert ts.states_with_event("e1") == [1]
 
 
+class TestIndexedCore:
+    def test_views_follow_later_arcs(self):
+        ts = cycle_ts()
+        assert ts.states == [0, 1, 2]
+        assert ts.enabled_masks() == [1, 2, 4]
+        ts.add_arc(2, "x", 3)
+        assert ts.states == [0, 1, 2, 3]
+        assert ts.successors(2) == [("e2", 0), ("x", 3)]
+        assert ts.predecessors(3) == [("x", 2)]
+        assert ts.events == {"e0", "e1", "e2", "x"}
+        assert ts.enabled_masks()[2] == 0b1100
+
+    def test_compiled_graph_can_be_extended(self):
+        """A graph whose states are decoded on demand turns into an
+        ordinary one on the first edit."""
+        from repro.stg import vme_read
+        from repro.ts import build_reachability_graph
+
+        ts = build_reachability_graph(vme_read(), engine="compiled")
+        reference = build_reachability_graph(vme_read(), engine="naive")
+        ts.add_arc(ts.initial, "extra", "elsewhere")
+        reference.add_arc(reference.initial, "extra", "elsewhere")
+        assert ts.states == reference.states
+        assert list(ts.arcs()) == list(reference.arcs())
+        for state in ts.states:
+            assert ts.predecessors(state) == reference.predecessors(state)
+        assert ts.events == reference.events
+        assert ts.bottom_sccs() == reference.bottom_sccs()
+
+
 class TestTransformations:
     def test_relabel(self):
         ts = cycle_ts()
