@@ -7,7 +7,9 @@ literals; a list of cubes denotes their disjunction (a cover / SOP form).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+
+from ..errors import ModelError
 
 Cube = Tuple[Optional[int], ...]
 
@@ -93,3 +95,14 @@ def minterm_to_int(minterm: Sequence[int]) -> int:
 def int_to_minterm(value: int, width: int) -> Tuple[int, ...]:
     """Integer to binary vector (MSB first)."""
     return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+
+
+def checked_minterms(minterms: Iterable[int], n: int) -> Set[int]:
+    """The minterms as a set; :class:`~repro.errors.ModelError` names the
+    smallest one outside ``[0, 2**n)``."""
+    found = set(minterms)
+    if found and (min(found) < 0 or max(found) >= 1 << n):
+        bad = min(m for m in found if not 0 <= m < 1 << n)
+        raise ModelError("minterm %d is outside [0, 2**%d) for a function"
+                         " of n = %d variables" % (bad, n, n))
+    return found

@@ -26,6 +26,7 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .cube import (
     Cube,
+    checked_minterms,
     cube_contains,
     cube_covers,
     cube_minterms,
@@ -111,9 +112,11 @@ def espresso(onset: Iterable[int], dcset: Iterable[int], n: int,
              max_iterations: int = 6) -> List[Cube]:
     """Heuristic minimum-ish SOP cover of an incompletely specified
     function (same interface as
-    :func:`repro.boolmin.quine_mccluskey.minimize`)."""
-    onset = set(onset)
-    dcset = set(dcset) - onset
+    :func:`repro.boolmin.quine_mccluskey.minimize`, including the
+    :class:`~repro.errors.ModelError` for a minterm outside
+    ``[0, 2**n)``)."""
+    onset = checked_minterms(onset, n)
+    dcset = checked_minterms(dcset, n) - onset
     if not onset:
         return []
     offset = set(range(1 << n)) - onset - dcset

@@ -9,13 +9,15 @@ independent*.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
+from ..boolmin.cube import Cube
+from ..boolmin.expr import from_cubes
 from ..errors import CSCError
 from ..stg.stg import STG
 from ..ts.state_graph import StateGraph, build_state_graph
 from .netlist import Gate, Netlist
-from .nextstate import derive_all_next_state_functions
+from .nextstate import NextStateFunction, derive_all_next_state_functions
 
 
 def synthesize_complex_gates(sg_or_stg, name: Optional[str] = None) -> Netlist:
@@ -29,12 +31,22 @@ def synthesize_complex_gates(sg_or_stg, name: Optional[str] = None) -> Netlist:
         sg = build_state_graph(sg_or_stg)
     else:
         sg = sg_or_stg
-    stg = sg.stg
-    netlist = Netlist(name or (stg.name + "_cg"), inputs=stg.inputs)
-    for signal, fn in sorted(derive_all_next_state_functions(sg).items()):
-        netlist.add(Gate.comb(signal, fn.minimized_expr()))
+    return _complex_gates(sg, name or (sg.stg.name + "_cg"))[0]
+
+
+def _complex_gates(sg: StateGraph, name: str) -> Tuple[
+        Netlist, Dict[str, NextStateFunction], Dict[str, List[Cube]]]:
+    """The complex-gate netlist of ``sg`` together with the next-state
+    functions and minimized covers it was built from (each function is
+    derived and minimized once), for callers that go on to factor them."""
+    fns = derive_all_next_state_functions(sg)
+    covers = {signal: fn.minimized_cubes() for signal, fn in fns.items()}
+    netlist = Netlist(name, inputs=sg.stg.inputs)
+    for signal in sorted(fns):
+        netlist.add(Gate.comb(signal, from_cubes(covers[signal],
+                                                 fns[signal].variables)))
     netlist.validate()
-    return netlist
+    return netlist, fns, covers
 
 
 def equations(sg_or_stg) -> Dict[str, str]:

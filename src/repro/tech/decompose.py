@@ -13,26 +13,39 @@ The method follows the paper's recipe:
 * check every resulting netlist for speed independence with the
   circuit ⊗ environment composition and keep the first hazard-free one.
 
-The search is bounded and deterministic; for paper-scale controllers it
-terminates in well under a second.
+Candidate gates are matched on *truth columns*: one int per signal whose
+bit ``i`` is the signal's value in state ``i`` of the state graph.  Each
+gate's target column (its next value in every state) is built once per
+call; a divisor's column is its expression evaluated over the columns
+with ``&``, ``|`` and complement.  A literal or a two-literal ``And``/``Or``
+then matches a target with one int comparison, and only matches become
+expressions.
+
+The search is bounded (``max_netlists`` candidate netlists) and
+deterministic.  When :func:`repro.obs.enabled`, it runs under a
+``tech.decompose`` span counting the ``divisors`` proposed, the
+``attempts`` (candidate netlists verified) and ``refused`` when it ends
+in :class:`~repro.errors.SynthesisError`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
+from .. import obs
 from ..budgets import DECOMPOSE_STATE_BOUND
 from ..errors import SynthesisError
-from ..boolmin.cube import Cube
+from ..boolmin.cube import Cube, minterm_to_int
 from ..boolmin.expr import And, BoolExpr, Not, Or, Var, from_cubes
 from ..stg.stg import STG
-from ..synth.complex_gate import synthesize_complex_gates
-from ..synth.netlist import Gate, GateKind, Netlist
-from ..synth.nextstate import derive_all_next_state_functions
-from ..ts.state_graph import StateGraph, build_state_graph
+from ..synth.complex_gate import _complex_gates
+from ..synth.netlist import Gate, Netlist
+from ..ts.state_graph import build_state_graph
 from ..verify.composition import verify_circuit
-from .library import TWO_INPUT_LIBRARY, is_fully_mapped
+
+# a candidate literal: (expression, truth column, signal name)
+_Literal = Tuple[BoolExpr, int, str]
 
 
 def _expr_literals(expr: BoolExpr) -> int:
@@ -86,47 +99,50 @@ def algebraic_divisors(cubes: Sequence[Cube],
     return divisors
 
 
-def _reachable_extended_codes(sg: StateGraph,
-                              defs: Dict[str, BoolExpr]) -> List[Dict[str, int]]:
-    """Reachable assignments over spec signals plus defined internal
-    decomposition signals (each evaluated from its defining function;
-    definitions may reference each other acyclically or via spec signals
-    and settle by iteration)."""
-    rows: List[Dict[str, int]] = []
-    for state in sg.states:
-        env = {s: sg.value(state, s) for s in sg.signal_order}
-        pending = dict(defs)
-        for name in pending:
-            env.setdefault(name, 0)
-        for _ in range(len(pending) + 2):
-            for name, expr in pending.items():
-                env[name] = expr.eval(env)
-        rows.append(env)
-    return rows
+def _truth_column(bits: Sequence[int]) -> int:
+    """The int whose bit ``i`` is ``bits[i]`` (each 0 or 1)."""
+    return int("".join(map(str, bits[::-1])) or "0", 2)
 
 
-def _candidate_exprs(target_rows: List[Tuple[Dict[str, int], int]],
-                     signals: Sequence[str],
+def _column(expr: BoolExpr, columns: Dict[str, int], full: int) -> int:
+    """Truth column of ``expr``: bit ``i`` is its value in state ``i``."""
+    if isinstance(expr, Var):
+        return columns[expr.name]
+    if isinstance(expr, Not):
+        return full ^ _column(expr.arg, columns, full)
+    if isinstance(expr, And):
+        value = full
+        for arg in expr.args:
+            value &= _column(arg, columns, full)
+        return value
+    if isinstance(expr, Or):
+        value = 0
+        for arg in expr.args:
+            value |= _column(arg, columns, full)
+        return value
+    raise TypeError("cannot evaluate %r over truth columns" % (expr,))
+
+
+def _literals(signal: str, column: int, full: int) -> List[_Literal]:
+    """The two literals of a signal with their truth columns."""
+    return [(Var(signal), column, signal),
+            (Not(Var(signal)), full ^ column, signal)]
+
+
+def _candidate_exprs(target: int, literals: Sequence[_Literal],
                      max_candidates: int = 8) -> List[BoolExpr]:
-    """All fan-in-<=2 expressions matching the target on the care rows."""
-    literals: List[BoolExpr] = []
-    for s in signals:
-        literals.append(Var(s))
-        literals.append(Not(Var(s)))
-
-    def matches(expr: BoolExpr) -> bool:
-        return all(expr.eval(env) == value for env, value in target_rows)
-
-    results: List[BoolExpr] = []
-    for lit in literals:
-        if matches(lit):
-            results.append(lit)
-    for a, b in itertools.combinations(literals, 2):
-        if a.support() == b.support():
+    """All fan-in-<=2 expressions whose truth column equals ``target``:
+    the literals, then ``a & b`` and ``a | b`` for literal pairs of two
+    different signals, in enumeration order, cut at ``max_candidates``."""
+    results: List[BoolExpr] = [lit for lit, column, _ in literals
+                               if column == target]
+    for (a, ca, sa), (b, cb, sb) in itertools.combinations(literals, 2):
+        if sa == sb:
             continue
-        for expr in (And.of(a, b), Or.of(a, b)):
-            if matches(expr):
-                results.append(expr)
+        if ca & cb == target:
+            results.append(And.of(a, b))
+        if ca | cb == target:
+            results.append(Or.of(a, b))
         if len(results) >= max_candidates:
             break
     return results[:max_candidates]
@@ -146,11 +162,21 @@ def decompose(stg: STG, max_fanin: int = 2,
     :data:`repro.budgets.DECOMPOSE_STATE_BOUND` states (pass
     ``max_states=`` to override).
     """
+    with obs.span("tech.decompose", stg=stg.name) as span:
+        try:
+            return _decompose(stg, max_fanin, temp_prefix, max_netlists,
+                              max_states, span)
+        except SynthesisError:
+            span.add("refused")
+            raise
+
+
+def _decompose(stg: STG, max_fanin: int, temp_prefix: str,
+               max_netlists: int, max_states: int, span) -> Netlist:
     if max_fanin != 2:
         raise SynthesisError("only two-input decomposition is implemented")
     sg = build_state_graph(stg)
-    fns = derive_all_next_state_functions(sg)
-    base = synthesize_complex_gates(sg, name=stg.name + "_decomposed")
+    base, fns, covers = _complex_gates(sg, stg.name + "_decomposed")
 
     # which gates need decomposition?
     oversized = [z for z in sorted(base.gates)
@@ -162,50 +188,50 @@ def decompose(stg: STG, max_fanin: int = 2,
     # gather divisor candidates from all oversized functions
     divisors: List[BoolExpr] = []
     for z in oversized:
-        cubes = fns[z].minimized_cubes()
-        divisors.extend(algebraic_divisors(cubes, sg.signal_order))
+        divisors.extend(algebraic_divisors(covers[z], sg.signal_order))
+    span.add("divisors", len(divisors))
     if not divisors:
         raise SynthesisError("no algebraic divisors found for %s" % oversized)
 
+    # truth columns of the spec signals over the states of the SG, and the
+    # target column of each gate: its next value f_z in every state
+    codes = [sg.code(state) for state in sg.states]
+    full = (1 << len(codes)) - 1
+    spec_literals: List[_Literal] = []
+    columns: Dict[str, int] = {}
+    for signal, bits in zip(sg.signal_order, zip(*codes)):
+        columns[signal] = _truth_column(bits)
+        spec_literals.extend(_literals(signal, columns[signal], full))
+    minterms = [minterm_to_int(code) for code in codes]
+    gate_names = sorted(base.gates)
+    targets = {z: _truth_column([int(m in fns[z].onset) for m in minterms])
+               for z in gate_names}
+
+    temp = "%s0" % temp_prefix
     attempts = 0
     diagnostics: List[str] = []
     for divisor in divisors:
-        temp = "%s0" % temp_prefix
-        defs = {temp: divisor}
-        rows = _reachable_extended_codes(sg, defs)
-        extended_signals = list(sg.signal_order) + [temp]
+        divisor_column = _column(divisor, columns, full)
+        literals = spec_literals + _literals(temp, divisor_column, full)
 
         # per-gate candidate expressions over the extended signal set
         per_gate: Dict[str, List[BoolExpr]] = {}
-        feasible = True
-        for z in sorted(base.gates):
-            targets = [(env, fns[z].value(
-                tuple(env[s] for s in sg.signal_order)) or 0)
-                for env in rows]
-            # next value of z on reachable states (f_z); None cannot occur
-            targets = []
-            for env in rows:
-                value = fns[z].value(tuple(env[s] for s in sg.signal_order))
-                targets.append((env, 0 if value is None else value))
-            candidates = _candidate_exprs(targets, extended_signals)
+        for z in gate_names:
+            candidates = _candidate_exprs(targets[z], literals)
             if not candidates:
-                feasible = False
                 diagnostics.append(
                     "divisor %s: no 2-input candidate for %s" % (divisor, z))
                 break
             per_gate[z] = candidates
-        if not feasible:
+        if len(per_gate) < len(gate_names):
             continue
         # the divisor gate itself
-        divisor_targets = [(env, env[temp]) for env in rows]
-        divisor_candidates = _candidate_exprs(divisor_targets,
-                                              list(sg.signal_order))
+        divisor_candidates = _candidate_exprs(divisor_column, spec_literals)
         if not divisor_candidates:
             diagnostics.append("divisor %s not realisable in 2 inputs"
                                % divisor)
             continue
 
-        gate_names = sorted(per_gate)
         for combo in itertools.product(*(per_gate[z] for z in gate_names)):
             for divisor_expr in divisor_candidates[:2]:
                 attempts += 1
@@ -222,6 +248,7 @@ def decompose(stg: STG, max_fanin: int = 2,
                     netlist.validate()
                 except SynthesisError:
                     continue
+                span.add("attempts")
                 report = verify_circuit(netlist, stg, max_states=max_states,
                                         stop_at_first=True)
                 if report.ok:
